@@ -69,7 +69,7 @@ BENCHMARK(BM_SerializeColumn);
 static void BM_DistArrayPackUnpack(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
-    data::DistArray<double> src(2000), dst(2000);
+    data::DistArray<double> src(2000, 32), dst(2000, 32);
     std::vector<data::SliceId> ids;
     for (int j = 0; j < 32; ++j) {
       src.add(j, std::vector<double>(2000, 1.0));

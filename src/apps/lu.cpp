@@ -111,7 +111,7 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
 
     const auto block = BlockMap::even(n, R).range(rank);
     // Column marker = number of steps already applied to it.
-    DistArray<double> cols(static_cast<std::size_t>(n));
+    DistArray<double> cols(static_cast<std::size_t>(n), n);
     cols.enable_ownership_checks(rank);
     for (SliceId j = block.begin; j < block.end; ++j) {
       cols.add(j, shared->a[static_cast<std::size_t>(j)]);
@@ -123,6 +123,18 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
     std::vector<std::vector<double>> pivots(static_cast<std::size_t>(n));
 
     int k_now = 0;  // current outer step
+
+    const auto apply_step = [&](SliceId j, int k) {
+      // cols[j] -= pivots[k] * a[k][j] on rows k+1..n-1 (marker k -> k+1).
+      if (!cfg.real_compute) return;
+      auto& cj = cols.slice(j);
+      const auto& piv = pivots[static_cast<std::size_t>(k)];
+      const double akj = cj[static_cast<std::size_t>(k)];
+      for (int i = k + 1; i < n; ++i) {
+        cj[static_cast<std::size_t>(i)] -=
+            piv[static_cast<std::size_t>(i - k - 1)] * akj;
+      }
+    };
 
     lb::SlaveAgent::WorkOps ops;
     ops.remaining = [&cols, &k_now] {
@@ -143,23 +155,31 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
     };
     ops.unpack = [&](const Bytes& payload, int) -> Task<int> {
       const auto ids = cols.unpack_and_add(payload);
+      if (k_now == n - 1) {
+        // Past the last step no update reaches a lagging column any more:
+        // bring each to its final marker (column j takes steps 0..j-1)
+        // here. Only column n-1 can lag then, delivered during finalize()
+        // by a move the network delayed.
+        Time cost = 0;
+        int steps = 0;
+        for (SliceId j : ids) {
+          int m = cols.marker(j);
+          for (; m < j; ++m, ++steps) {
+            apply_step(j, m);
+            cost += static_cast<Time>(n - m - 1) * cfg.update_cost;
+          }
+          cols.set_marker(j, m);
+        }
+        if (steps > 0) {
+          co_await ctx.compute(cost);
+          shared->units_by_rank[static_cast<std::size_t>(rank)] += steps;
+        }
+      }
       co_return static_cast<int>(ids.size());
     };
 
     std::optional<lb::SlaveAgent> agent;
     if (cfg.use_lb) agent.emplace(c.make_agent(ctx, rank, std::move(ops)));
-
-    const auto apply_step = [&](SliceId j, int k) {
-      // cols[j] -= pivots[k] * a[k][j] on rows k+1..n-1 (marker k -> k+1).
-      if (!cfg.real_compute) return;
-      auto& cj = cols.slice(j);
-      const auto& piv = pivots[static_cast<std::size_t>(k)];
-      const double akj = cj[static_cast<std::size_t>(k)];
-      for (int i = k + 1; i < n; ++i) {
-        cj[static_cast<std::size_t>(i)] -=
-            piv[static_cast<std::size_t>(i - k - 1)] * akj;
-      }
-    };
 
     for (int k = 0; k < n - 1; ++k) {
       k_now = k;

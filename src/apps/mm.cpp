@@ -121,7 +121,7 @@ void mm_build(lb::Cluster& cluster, const MmConfig& cfg,
     // Local distributed data: this slave's columns of B. The compiler's
     // generated initialization distributes by block; at run time ownership
     // follows work movement through the index structure (§4.5).
-    DistArray<double> local_b(static_cast<std::size_t>(n));
+    DistArray<double> local_b(static_cast<std::size_t>(n), n);
     local_b.enable_ownership_checks(rank);
     for (SliceId j = block.begin; j < block.end; ++j) {
       local_b.add(j, shared->b[static_cast<std::size_t>(j)]);

@@ -7,6 +7,7 @@
 
 #include "data/dist_array.hpp"
 #include "data/slice.hpp"
+#include "lb/hooks.hpp"
 #include "loop/grain.hpp"
 #include "msg/serialize.hpp"
 #include "util/check.hpp"
@@ -124,7 +125,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
     // ---- distributed data: owned columns (full height), per-column
     // marker = strips completed in the current sweep (§4.5). ----
     const auto block = BlockMap::even(interior, R).range(rank);
-    DistArray<double> cols(static_cast<std::size_t>(n));
+    DistArray<double> cols(static_cast<std::size_t>(n), n);
     cols.enable_ownership_checks(rank);
     for (SliceId b = block.begin; b < block.end; ++b) {
       const SliceId j = 1 + b;
@@ -186,30 +187,69 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       const int re = std::min(rb + bs, n - 1);
       return std::pair<int, int>(rb, re);
     };
+    // Columns to process at strip p: those at marker p, the suffix of the
+    // owned ids when p is the minimum marker.
+    const auto strip_work = [&cols](int p) {
+      const auto& owned = cols.owned_ids();
+      auto first = owned.end();
+      while (first != owned.begin() && cols.marker(*(first - 1)) == p) {
+        --first;
+      }
+      return std::vector<SliceId>(first, owned.end());
+    };
+    // Markers are non-increasing left to right: a column is never ahead
+    // of its left neighbour (the wavefront), columns moved in leftwards
+    // attach behind our rightmost one and columns moved in rightwards
+    // ahead of our leftmost one. So the highest owned column holds the
+    // minimum marker, and the columns done this sweep (marker == strips)
+    // are a prefix counted by `finished`. The invariant layer audits both
+    // shortcuts against a full scan in checked runs (audit_markers).
+    int finished = 0;
     const auto min_marker = [&cols]() {
-      int m = std::numeric_limits<int>::max();
-      for (SliceId id : cols.owned_ids()) m = std::min(m, cols.marker(id));
-      return m;
+      const auto& owned = cols.owned_ids();
+      return owned.empty() ? std::numeric_limits<int>::max()
+                           : cols.marker(owned.back());
+    };
+    const auto count_finished = [&cols,
+                                 strips](const std::vector<SliceId>& ids) {
+      int k = 0;
+      for (SliceId id : ids) k += cols.marker(id) >= strips;
+      return k;
+    };
+    lb::RuntimeHooks* const check = c.config().lb.check;
+    const auto audit_markers = [&, rank, strips] {
+      if (check == nullptr) return;
+      std::vector<int> markers;
+      markers.reserve(cols.owned_ids().size());
+      for (SliceId id : cols.owned_ids()) markers.push_back(cols.marker(id));
+      check->on_slice_markers(ctx.now(), rank, markers, strips, min_marker(),
+                              cols.owned_count() - finished);
     };
 
     // ---- work movement (the compiler-generated gather/scatter, §4.5) ----
     lb::SlaveAgent::WorkOps ops;
-    ops.remaining = [&cols, strips] {
-      int r = 0;
-      for (SliceId id : cols.owned_ids()) r += cols.marker(id) < strips;
-      return r;
+    ops.remaining = [&] {
+      audit_markers();
+      return cols.owned_count() - finished;
     };
     ops.pack = [&, rank](int count,
                          int peer) -> Task<std::pair<Bytes, int>> {
       // Keep at least one column: an empty rank breaks the pipeline chain.
       const int actual = std::max(0, std::min(count, cols.owned_count() - 1));
-      auto owned = cols.owned_ids();
+      const auto& owned = cols.owned_ids();
       std::vector<SliceId> ids;
+      // The column left at the edge the donated ones leave from: its
+      // snapshot rides ahead of the columns (see below). Taken before the
+      // removal, so it is our new edge column afterwards.
+      SliceId bnd = -1;
       if (peer > rank) {
         ids.assign(owned.end() - actual, owned.end());
+        if (actual > 0) bnd = *(owned.end() - actual - 1);
       } else {
         ids.assign(owned.begin(), owned.begin() + actual);
+        if (actual > 0) bnd = owned[static_cast<std::size_t>(actual)];
       }
+      finished -= count_finished(ids);
       msg::Writer w;
       if (peer > rank && actual > 0) {
         // Donating our highest columns: snapshot the lowest donated column
@@ -226,14 +266,12 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         left_ghost_id = ids.back();
         left_ghost_marker = cols.marker(ids.back());
       }
-      Bytes cols_payload = cols.pack_and_remove(ids);
       const bool boundary = actual > 0;
       w.put<std::uint8_t>(boundary ? 1 : 0);
       if (boundary && peer < rank) {
         // Receiver attaches these columns at its right edge and needs
         // previous-sweep values of our (new) first column as its right
         // ghost / catch-up source.
-        const SliceId bnd = cols.owned_ids().front();
         w.put<std::int32_t>(bnd);
         w.put_vec(cols.slice(bnd));
       } else if (boundary && peer > rank) {
@@ -243,12 +281,11 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         // ghosts for a *different* column (whichever was highest at the
         // time) and will never be re-sent, so ship a snapshot with its
         // marker. Strips beyond the marker flow as ordinary ghosts.
-        const SliceId bnd = cols.owned_ids().back();
         w.put<std::int32_t>(bnd);
         w.put<std::int32_t>(cols.marker(bnd));
         w.put_vec(cols.slice(bnd));
       }
-      w.put_bytes(cols_payload);
+      cols.pack_and_remove(ids, w);
       co_return std::make_pair(w.take(), actual);
     };
     ops.unpack = [&, rank](const Bytes& payload, int peer) -> Task<int> {
@@ -264,7 +301,8 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         left_ghost_marker = r.get<std::int32_t>();
         left_ghost = r.get_vec<double>();
       }
-      const auto ids = cols.unpack_and_add(r.get_bytes());
+      const auto ids = cols.unpack_and_add(r);
+      finished += count_finished(ids);
       if (!ids.empty()) {
         NOWLB_LOG(Debug, "sor") << "rank " << rank << " integrated cols ["
                                 << ids.front() << ".." << ids.back()
@@ -339,6 +377,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
     // ------------------------------ sweeps ------------------------------
     for (int sweep = 0; sweep < cfg.sweeps; ++sweep) {
       for (SliceId id : cols.owned_ids()) cols.set_marker(id, 0);
+      finished = 0;
       ghost_stash.clear();
       left_ghost_id = -1;
       left_ghost_marker = 0;
@@ -369,6 +408,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       // columns rewind it (catch-up), columns ahead of it are skipped
       // (set-aside) — §4.5 falls out of the marker discipline.
       for (;;) {
+        audit_markers();
         const int p = min_marker();
         if (p >= strips) {
           if (!agent) break;  // static run: the sweep simply ends
@@ -395,10 +435,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
             restart_strip = true;
             break;
           }
-          work.clear();
-          for (SliceId id : cols.owned_ids()) {
-            if (cols.marker(id) == p) work.push_back(id);
-          }
+          work = strip_work(p);
           NOWLB_CHECK(!work.empty());
           const SliceId firstw = work.front();
           if (firstw - 1 == 0 || cols.owns(firstw - 1)) {
@@ -420,10 +457,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
           // work set or even the leftmost column the segment was for. A
           // fetched segment that is not used *now* goes into the stash —
           // a later rewind over the same strip will need it again.
-          std::vector<SliceId> now_work;
-          for (SliceId id : cols.owned_ids()) {
-            if (cols.marker(id) == p) now_work.push_back(id);
-          }
+          std::vector<SliceId> now_work = strip_work(p);
           const bool usable = min_marker() == p && !now_work.empty() &&
                               now_work.front() == firstw;
           if (!usable) {
@@ -471,6 +505,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
           }
         }
         for (SliceId j : work) cols.set_marker(j, p + 1);
+        if (p + 1 == strips) finished += static_cast<int>(work.size());
 
         // Pipeline: our highest column's new strip values are the right
         // rank's left boundary. The highest owned column always has the

@@ -1,6 +1,8 @@
 #include "check/checkers.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <string>
 
@@ -163,6 +165,37 @@ void ContiguityChecker::check_contiguous(sim::Time t, int rank,
                 ": " + std::to_string(s.size()) + " slices span [" +
                 std::to_string(*s.begin()) + ", " +
                 std::to_string(*s.rbegin()) + "]");
+  }
+}
+
+// ----------------------------------------------------- MarkerOrderChecker
+
+void MarkerOrderChecker::on_slice_markers(sim::Time t, int rank,
+                                          const std::vector<int>& markers,
+                                          int limit, int min_marker,
+                                          int below_limit) {
+  const std::string who = "rank " + std::to_string(rank);
+  for (std::size_t i = 1; i < markers.size(); ++i) {
+    if (markers[i] > markers[i - 1]) {
+      fail(t, who + " markers increase at owned position " +
+                  std::to_string(i) + ": " + std::to_string(markers[i - 1]) +
+                  " then " + std::to_string(markers[i]));
+      return;
+    }
+  }
+  const int true_min = markers.empty()
+                           ? std::numeric_limits<int>::max()
+                           : *std::min_element(markers.begin(), markers.end());
+  if (min_marker != true_min) {
+    fail(t, who + " minimum marker " + std::to_string(min_marker) +
+                ", scan gives " + std::to_string(true_min));
+  }
+  const auto true_below = std::count_if(
+      markers.begin(), markers.end(), [limit](int m) { return m < limit; });
+  if (below_limit != true_below) {
+    fail(t, who + " counts " + std::to_string(below_limit) +
+                " slices below marker " + std::to_string(limit) +
+                ", scan gives " + std::to_string(true_below));
   }
 }
 
@@ -424,7 +457,10 @@ void add_standard_checkers(InvariantSet& set, int nslaves, int lag,
   set.add(std::make_unique<SliceOwnershipChecker>(expected_slices));
   set.add(std::make_unique<EvictionChecker>());
   set.add(std::make_unique<TransportChecker>());
-  if (restricted) set.add(std::make_unique<ContiguityChecker>(nslaves));
+  if (restricted) {
+    set.add(std::make_unique<ContiguityChecker>(nslaves));
+    set.add(std::make_unique<MarkerOrderChecker>());
+  }
 }
 
 }  // namespace nowlb::check

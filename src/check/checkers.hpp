@@ -79,6 +79,18 @@ class ContiguityChecker final : public Invariant {
   std::vector<std::set<data::SliceId>> sets_;
 };
 
+/// Marker shape of a pipelined application (SOR, §4.5). A slave's
+/// per-column progress markers are non-increasing in column order, and the
+/// minimum and the count below the sweep's strip count that the slave
+/// derives from that shape in O(1) equal a full scan of the markers.
+class MarkerOrderChecker final : public Invariant {
+ public:
+  const char* name() const override { return "markers"; }
+
+  void on_slice_markers(sim::Time t, int rank, const std::vector<int>& markers,
+                        int limit, int min_marker, int below_limit) override;
+};
+
 /// Pipelining lag (Fig. 2). The master computes the instructions for round
 /// r + lag from round r's reports: lag is 1 in pipelined phase mode and 0
 /// in synchronous or done-flag (reply-style) mode. On the slave side an
@@ -225,7 +237,8 @@ class CrashInjector final : public Invariant {
 
 /// The full checker complement for a scenario: conservation + pipeline lag
 /// + ownership + eviction + transport always (the fault checkers are
-/// no-ops in fault-free runs); contiguity only in restricted-movement mode.
+/// no-ops in fault-free runs); contiguity and marker shape only in
+/// restricted-movement mode.
 void add_standard_checkers(InvariantSet& set, int nslaves, int lag,
                            bool restricted, int expected_slices);
 

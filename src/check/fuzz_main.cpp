@@ -8,9 +8,11 @@
 //   nowlb-fuzz --seeds=200                 # seeds 1..200 x {mm, sor, lu}
 //   nowlb-fuzz --app=sor --seed=1337       # replay one scenario, verbose
 //   nowlb-fuzz --seeds=50 --inject-fault=skip-credit   # prove detection
+//   nowlb-fuzz --seeds=5 --inject-fault=throw  # a throwing run is one failure
 //   nowlb-fuzz --seeds=50 --drop-rate=0.05 --dup-rate=0.02   # lossy net
 //   nowlb-fuzz --app=mm --seeds=25 --drop-rate=0.05 --kill-slave=1@3
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -120,9 +122,9 @@ int main(int argc, char** argv) {
   }
   if (cli.has("help")) {
     std::printf(
-        "usage: nowlb-fuzz [--seeds=N] [--base=B] [--seed=S]\n"
+        "usage: nowlb-fuzz [--seeds=N] [--base=B] [--seed=S[,S...]]\n"
         "                  [--app=mm|sor|lu|all] [--inject-fault=skip-credit|"
-        "wrong-round]\n"
+        "wrong-round|throw]\n"
         "                  [--drop-rate=P] [--dup-rate=P] [--reorder-us=D]\n"
         "                  [--kill-slave=RANK@ROUND]  (MM only)\n"
         "                  [--trace=FILE] [--metrics=FILE] [--explain]\n"
@@ -166,6 +168,8 @@ int main(int argc, char** argv) {
     fault = InvariantSet::Fault::kSkipCredit;
   } else if (fault_flag == "wrong-round") {
     fault = InvariantSet::Fault::kWrongRound;
+  } else if (fault_flag == "throw") {
+    fault = InvariantSet::Fault::kThrow;
   } else if (!fault_flag.empty()) {
     std::fprintf(stderr, "unknown --inject-fault=%s\n", fault_flag.c_str());
     return 2;
@@ -211,13 +215,34 @@ int main(int argc, char** argv) {
                  cli.get("seeds", "").c_str());
     return 2;
   }
-  std::uint64_t base = static_cast<std::uint64_t>(cli.get_int("base", 1));
-  std::uint64_t nseeds = static_cast<std::uint64_t>(seeds_int);
+  std::vector<std::uint64_t> seeds;
   if (cli.has("seed")) {
-    base = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-    nseeds = 1;
+    // --seed=S replays one seed, --seed=S1,S2,... a list of them.
+    const std::string list = cli.get("seed", "");
+    std::size_t pos = 0;
+    while (pos <= list.size()) {
+      const std::size_t comma = std::min(list.find(',', pos), list.size());
+      const std::string token = list.substr(pos, comma - pos);
+      std::size_t used = 0;
+      try {
+        seeds.push_back(std::stoull(token, &used));
+      } catch (...) {
+        used = 0;
+      }
+      if (token.empty() || used != token.size()) {
+        std::fprintf(stderr, "bad --seed=%s (want S or S1,S2,...)\n",
+                     list.c_str());
+        return 2;
+      }
+      pos = comma + 1;
+    }
+  } else {
+    const auto base = static_cast<std::uint64_t>(cli.get_int("base", 1));
+    for (long long i = 0; i < seeds_int; ++i) {
+      seeds.push_back(base + static_cast<std::uint64_t>(i));
+    }
   }
-  const bool verbose = cli.get_bool("verbose", nseeds == 1);
+  const bool verbose = cli.get_bool("verbose", seeds.size() == 1);
 
   // Flight recorder, shared across the sweep. Attaching it never perturbs
   // the simulation (identical trace hash), so --trace/--explain replay the
@@ -233,7 +258,7 @@ int main(int argc, char** argv) {
 
   int runs = 0;
   std::vector<FailureRecord> failed;
-  for (std::uint64_t seed = base; seed < base + nseeds; ++seed) {
+  for (const std::uint64_t seed : seeds) {
     for (App app : apps) {
       Scenario sc = nowlb::check::generate_scenario(seed, app);
       if (plan.any()) nowlb::check::apply_fault_plan(sc, plan);

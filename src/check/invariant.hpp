@@ -26,6 +26,7 @@
 #include "lb/protocol.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
+#include "util/check.hpp"
 
 namespace nowlb::check {
 
@@ -89,6 +90,14 @@ class Invariant {
   virtual void on_transport_gave_up(sim::Time /*t*/, sim::Pid /*src*/,
                                     sim::Pid /*dst*/, int /*tag*/) {}
 
+  // ---- application hookpoints (apps/sor.cpp) ----
+  /// Owned slices' progress markers in id order, with the minimum and the
+  /// count below `limit` the application derived without scanning them.
+  virtual void on_slice_markers(sim::Time /*t*/, int /*rank*/,
+                                const std::vector<int>& /*markers*/,
+                                int /*limit*/, int /*min_marker*/,
+                                int /*below_limit*/) {}
+
   // ---- data-layer hookpoints (data/dist_array.hpp via SliceLedger) ----
   virtual void on_slice_added(sim::Time /*t*/, int /*rank*/,
                               data::SliceId /*id*/) {}
@@ -112,8 +121,10 @@ class InvariantSet : public data::SliceLedger, public lb::RuntimeHooks {
   /// Observation-layer fault injection: corrupt the event stream fed to the
   /// checkers to prove the failure path fires (the simulated system itself
   /// stays correct). kSkipCredit drops one transfer's packed credit;
-  /// kWrongRound mislabels one applied instruction's round.
-  enum class Fault { kNone, kSkipCredit, kWrongRound };
+  /// kWrongRound mislabels one applied instruction's round. kThrow raises
+  /// a CheckFailure from the first slave report, inside the run, as a
+  /// failing NOWLB_CHECK in a process would.
+  enum class Fault { kNone, kSkipCredit, kWrongRound, kThrow };
 
   Invariant& add(std::unique_ptr<Invariant> checker) {
     checker->set_ = this;
@@ -161,6 +172,10 @@ class InvariantSet : public data::SliceLedger, public lb::RuntimeHooks {
   }
   void on_slave_report(sim::Time t, int rank,
                        const lb::StatusReport& rep) override {
+    if (fault_ == Fault::kThrow && !fault_fired_) {
+      fault_fired_ = true;
+      NOWLB_CHECK(false, "injected fault at rank " << rank << "'s report");
+    }
     for (auto& c : checkers_) c->on_slave_report(t, rank, rep);
   }
   void on_slave_instructions(sim::Time t, int rank,
@@ -209,6 +224,13 @@ class InvariantSet : public data::SliceLedger, public lb::RuntimeHooks {
   void on_transport_gave_up(sim::Time t, sim::Pid src, sim::Pid dst,
                             int tag) override {
     for (auto& c : checkers_) c->on_transport_gave_up(t, src, dst, tag);
+  }
+  void on_slice_markers(sim::Time t, int rank,
+                        const std::vector<int>& markers, int limit,
+                        int min_marker, int below_limit) override {
+    for (auto& c : checkers_) {
+      c->on_slice_markers(t, rank, markers, limit, min_marker, below_limit);
+    }
   }
   void on_run_end(sim::Time t) {
     for (auto& c : checkers_) c->on_run_end(t);

@@ -10,6 +10,7 @@
 #include "obs/attach.hpp"
 #include "obs/obs.hpp"
 #include "sim/world.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace nowlb::check {
@@ -298,11 +299,21 @@ FuzzResult run_scenario(const Scenario& sc, InvariantSet::Fault fault,
   // it leaves essential processes outstanding, reported below.
   world.engine().schedule_at(sc.time_bound, [&world] { world.engine().stop(); });
 
-  world.run();
+  // A failing NOWLB_CHECK inside a process ends the run early; it is this
+  // scenario's failure, not the sweep's, so it is recorded like any other
+  // and the termination, run-end and oracle checks of the cut-off run are
+  // skipped.
+  bool threw = false;
+  try {
+    world.run();
+  } catch (const CheckFailure& e) {
+    threw = true;
+    set.record({"exception", e.what(), world.now()});
+  }
 
   const Time end = world.now();
-  const bool terminated = world.essential_remaining() == 0;
-  if (!terminated) {
+  const bool terminated = !threw && world.essential_remaining() == 0;
+  if (!terminated && !threw) {
     std::string stuck;
     for (sim::Pid p = 0; p < static_cast<sim::Pid>(world.process_count());
          ++p) {
@@ -328,7 +339,7 @@ FuzzResult run_scenario(const Scenario& sc, InvariantSet::Fault fault,
                     "s time bound: " + stuck,
                 end});
   }
-  set.on_run_end(end);
+  if (!threw) set.on_run_end(end);
   if (terminated) {
     // Numerical oracle: the parallel kernels preserve the sequential FP
     // evaluation order, so the comparison is bit-exact.

@@ -95,6 +95,8 @@ struct FuzzResult {
 /// run (traces, metrics, decision ledger) and a LedgerChecker cross-checks
 /// the ledger arithmetic against the invariant bus; recording never
 /// perturbs the simulation, so the trace hash is identical either way.
+/// A CheckFailure that escapes the run (a process's NOWLB_CHECK) is
+/// recorded as an "exception" failure of this scenario, not rethrown.
 FuzzResult run_scenario(const Scenario& sc,
                         InvariantSet::Fault fault = InvariantSet::Fault::kNone,
                         obs::Observability* obs = nullptr);

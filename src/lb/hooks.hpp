@@ -70,6 +70,15 @@ class RuntimeHooks {
   /// Sender exhausted retransmit attempts for a message towards dst.
   virtual void on_transport_gave_up(sim::Time /*t*/, sim::Pid /*src*/,
                                     sim::Pid /*dst*/, int /*tag*/) {}
+
+  // ---- application hookpoints (apps/sor.cpp) ----
+  /// A pipelined slave's per-slice progress markers, in slice-id order,
+  /// with the shortcuts it derives from their shape instead of scanning
+  /// them: the minimum marker and the count of slices below `limit`.
+  virtual void on_slice_markers(sim::Time /*t*/, int /*rank*/,
+                                const std::vector<int>& /*markers*/,
+                                int /*limit*/, int /*min_marker*/,
+                                int /*below_limit*/) {}
 };
 
 }  // namespace nowlb::lb

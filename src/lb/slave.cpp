@@ -440,9 +440,26 @@ Task<> SlaveAgent::recv_one_pending() {
     }
     co_return;
   }
-  const PendingRecv p = pending_recvs_.front();
-  pending_recvs_.erase(pending_recvs_.begin());
-  if (auto stashed = take_stashed(pid_of(p.order.peer_rank))) {
+  co_await recv_pending_from(pending_recvs_.front().order.peer_rank);
+}
+
+bool SlaveAgent::pending_from(int peer_rank) const {
+  return std::any_of(pending_recvs_.begin(), pending_recvs_.end(),
+                     [peer_rank](const PendingRecv& p) {
+                       return p.order.peer_rank == peer_rank;
+                     });
+}
+
+Task<> SlaveAgent::recv_pending_from(int peer_rank) {
+  const auto it = std::find_if(pending_recvs_.begin(), pending_recvs_.end(),
+                               [peer_rank](const PendingRecv& p) {
+                                 return p.order.peer_rank == peer_rank;
+                               });
+  NOWLB_CHECK(it != pending_recvs_.end(),
+              "no transfer due from rank " << peer_rank);
+  const PendingRecv p = *it;
+  pending_recvs_.erase(it);
+  if (auto stashed = take_stashed(pid_of(peer_rank))) {
     co_await integrate_move(p.order, p.round, std::move(*stashed));
     co_return;
   }
@@ -450,7 +467,7 @@ Task<> SlaveAgent::recv_one_pending() {
   // skew / sender lag — neither movement cost nor compute time, so it is
   // excluded from both the move-cost measurement and the rate window.
   const Time w0 = ctx_.now();
-  sim::Message m = co_await ctx_.recv_raw(kTagMove, pid_of(p.order.peer_rank));
+  sim::Message m = co_await ctx_.recv_raw(kTagMove, pid_of(peer_rank));
   note_blocked_span(w0);
   co_await integrate_move(p.order, p.round, std::move(m));
 }
@@ -500,6 +517,17 @@ Task<> SlaveAgent::apply_moves(const std::vector<MoveOrder>& orders) {
     // of the incoming side first, then forward.
     if (send_total > ops_.remaining() && !pending_recvs_.empty()) {
       co_await drain_pending();
+    }
+    if (lb_.movement == Movement::kRestricted) {
+      // A transfer still due from a peer, ordered in an earlier round,
+      // attaches at the very edge this rank donates to that peer from;
+      // donating first would leave both blocks split. Take delivery of it
+      // before sending.
+      for (const auto& o : orders) {
+        while (o.is_send && pending_from(o.peer_rank)) {
+          co_await recv_pending_from(o.peer_rank);
+        }
+      }
     }
     for (const auto& o : orders) {
       if (!o.is_send) continue;

@@ -143,6 +143,11 @@ class SlaveAgent {
   void note_blocked_span(sim::Time w0);
   /// Blocking receive of one queued incoming transfer.
   sim::Task<> recv_one_pending();
+  /// True if a queued incoming transfer from `peer_rank` has not landed.
+  bool pending_from(int peer_rank) const;
+  /// Blocking receive of the first queued transfer from `peer_rank` (a
+  /// plain receive: not interruptible by an eviction notice).
+  sim::Task<> recv_pending_from(int peer_rank);
   /// Next instruction message: a held early phase_done if one exists (see
   /// recv_one_pending's fault-tolerant wildcard loop), else a mailbox recv.
   sim::Task<Instructions> recv_instr();

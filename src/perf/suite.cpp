@@ -193,8 +193,8 @@ double slice_pack_unpack(const BenchOptions&,
   for (int s = 0; s < kSlices / 2; ++s) half.push_back(s);
   const double t0 = wall_seconds();
   for (int i = 0; i < iters; ++i) {
-    data::DistArray<double> from(kLen);
-    data::DistArray<double> to(kLen);
+    data::DistArray<double> from(kLen, kSlices);
+    data::DistArray<double> to(kLen, kSlices);
     for (int s = 0; s < kSlices; ++s) {
       from.add(s, std::vector<double>(kLen, s * 1.0), s);
     }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "check/scenario.hpp"
 
@@ -172,6 +174,33 @@ TEST(Scenario, InstrumentationDoesNotPerturbTiming) {
   EXPECT_EQ(with_checkers.trace_hash, again.trace_hash);
 }
 
+TEST(MarkerOrder, NonIncreasingWithMatchingShortcutsPasses) {
+  InvariantSet set;
+  set.add(std::make_unique<MarkerOrderChecker>());
+  set.on_slice_markers(10, 0, {5, 5, 3, 2, 2}, /*limit=*/5,
+                       /*min_marker=*/2, /*below_limit=*/3);
+  set.on_slice_markers(11, 0, {}, 5, std::numeric_limits<int>::max(), 0);
+  EXPECT_TRUE(set.ok()) << set.report();
+}
+
+TEST(MarkerOrder, IncreasingMarkerFails) {
+  InvariantSet set;
+  set.add(std::make_unique<MarkerOrderChecker>());
+  set.on_slice_markers(10, 1, {4, 2, 3}, 5, 3, 3);
+  ASSERT_FALSE(set.ok());
+  EXPECT_EQ(set.failures()[0].checker, "markers");
+}
+
+TEST(MarkerOrder, WrongShortcutsFail) {
+  InvariantSet set;
+  set.add(std::make_unique<MarkerOrderChecker>());
+  set.on_slice_markers(10, 0, {3, 2}, 3, /*min_marker=*/3, 1);
+  set.on_slice_markers(20, 0, {3, 2}, 3, 2, /*below_limit=*/2);
+  ASSERT_EQ(set.failures().size(), 2u);
+  EXPECT_NE(set.failures()[0].message.find("minimum"), std::string::npos);
+  EXPECT_NE(set.failures()[1].message.find("below"), std::string::npos);
+}
+
 // Deliberately breaking an invariant must produce a deterministic failure
 // naming the offending checker (the ISSUE's negative acceptance test).
 TEST(Scenario, SkipCreditFaultIsDetected) {
@@ -201,6 +230,23 @@ TEST(Scenario, WrongRoundFaultIsDetected) {
     }
   }
   EXPECT_TRUE(detected);
+}
+
+TEST(Scenario, EscapingCheckFailureIsRecorded) {
+  // A NOWLB_CHECK failing inside the run ends that scenario only: it comes
+  // back as one recorded failure, deterministically, instead of throwing
+  // out of run_scenario and ending the whole sweep.
+  const Scenario sc = generate_scenario(1, App::kSor);
+  FuzzResult res;
+  ASSERT_NO_THROW(res = run_scenario(sc, InvariantSet::Fault::kThrow));
+  EXPECT_FALSE(res.ok);
+  ASSERT_EQ(res.failures.size(), 1u);
+  EXPECT_EQ(res.failures[0].checker, "exception");
+  EXPECT_NE(res.failures[0].message.find("injected fault"),
+            std::string::npos);
+  const FuzzResult again = run_scenario(sc, InvariantSet::Fault::kThrow);
+  EXPECT_EQ(again.trace_hash, res.trace_hash);
+  EXPECT_EQ(again.failures.size(), 1u);
 }
 
 TEST(Scenario, GeneratorIsSeedStable) {

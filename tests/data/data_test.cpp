@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "data/activity.hpp"
 #include "data/dist_array.hpp"
 #include "data/index_set.hpp"
@@ -115,7 +117,7 @@ TEST(IndexSet, TakeTooManyThrows) {
 // ------------------------------------------------------------ DistArray
 
 TEST(DistArray, AddRemoveAccess) {
-  DistArray<double> a(4);
+  DistArray<double> a(4, 10);
   a.add(7, {1, 2, 3, 4});
   EXPECT_TRUE(a.owns(7));
   EXPECT_FALSE(a.owns(8));
@@ -127,25 +129,32 @@ TEST(DistArray, AddRemoveAccess) {
 }
 
 TEST(DistArray, WrongLengthThrows) {
-  DistArray<double> a(4);
+  DistArray<double> a(4, 10);
   EXPECT_THROW(a.add(0, {1, 2}), CheckFailure);
 }
 
 TEST(DistArray, DuplicateAddThrows) {
-  DistArray<double> a(2);
+  DistArray<double> a(2, 10);
   a.add(0, {1, 2});
   EXPECT_THROW(a.add(0, {3, 4}), CheckFailure);
 }
 
 TEST(DistArray, AccessMissingThrows) {
-  DistArray<double> a(2);
+  DistArray<double> a(2, 10);
   EXPECT_THROW(a.slice(5), CheckFailure);
   EXPECT_THROW(a.remove(5), CheckFailure);
   EXPECT_THROW(a.marker(5), CheckFailure);
+  EXPECT_THROW(a.set_marker(5, 1), CheckFailure);
+  // Ids outside the extent are never owned and cannot be added.
+  EXPECT_FALSE(a.owns(-1));
+  EXPECT_FALSE(a.owns(10));
+  EXPECT_THROW(a.slice(10), CheckFailure);
+  EXPECT_THROW(a.add(10, {1, 2}), CheckFailure);
+  EXPECT_THROW(a.add(-1, {1, 2}), CheckFailure);
 }
 
 TEST(DistArray, MarkersSurvivePackUnpack) {
-  DistArray<double> src(3), dst(3);
+  DistArray<double> src(3, 4), dst(3, 4);
   src.add(1, {1, 1, 1}, /*marker=*/5);
   src.add(2, {2, 2, 2}, /*marker=*/6);
   src.add(3, {3, 3, 3});
@@ -161,17 +170,147 @@ TEST(DistArray, MarkersSurvivePackUnpack) {
 }
 
 TEST(DistArray, EmptyPackRoundtrip) {
-  DistArray<float> src(2), dst(2);
+  DistArray<float> src(2, 0), dst(2, 0);
   auto payload = src.pack_and_remove({});
   EXPECT_TRUE(dst.unpack_and_add(payload).empty());
 }
 
 TEST(DistArray, OwnedIdsSorted) {
-  DistArray<int> a(1);
+  DistArray<int> a(1, 6);
   a.add(5, {0});
   a.add(1, {0});
   a.add(3, {0});
   EXPECT_EQ(a.owned_ids(), (std::vector<SliceId>{1, 3, 5}));
+}
+
+TEST(DistArray, IdOrderSurvivesEdgeAddsAndRemoves) {
+  // The shape work movement gives a block: columns leave and arrive at
+  // both edges, and iteration must stay in id order throughout.
+  DistArray<int> a(1, 20);
+  const std::vector<SliceId>& view = a.owned_ids();
+  for (SliceId id = 8; id < 12; ++id) a.add(id, {id});
+  a.add(7, {7});    // left edge
+  a.add(12, {12});  // right edge
+  EXPECT_EQ(view, (std::vector<SliceId>{7, 8, 9, 10, 11, 12}));
+  a.remove(7);
+  a.remove(12);
+  a.remove(11);
+  EXPECT_EQ(view, (std::vector<SliceId>{8, 9, 10}));
+  a.add(6, {6});
+  a.add(7, {7});
+  a.add(11, {11});
+  EXPECT_EQ(view, (std::vector<SliceId>{6, 7, 8, 9, 10, 11}));
+  EXPECT_EQ(a.owned_count(), 6);
+  for (SliceId id : view) EXPECT_EQ(a.slice(id)[0], id);
+  // The view is the live list, not a snapshot.
+  a.remove(9);
+  EXPECT_EQ(view, (std::vector<SliceId>{6, 7, 8, 10, 11}));
+  EXPECT_EQ(&view, &a.owned_ids());
+}
+
+TEST(DistArray, SliceReferencesStayValidAcrossAdd) {
+  DistArray<double> a(3, 100);
+  a.add(50, {1, 2, 3});
+  std::vector<double>& ref = a.slice(50);
+  const double* data = ref.data();
+  for (SliceId id = 0; id < 100; ++id) {
+    if (id != 50) a.add(id, {0, 0, 0});
+  }
+  a.remove(49);
+  a.remove(51);
+  EXPECT_EQ(&ref, &a.slice(50));
+  EXPECT_EQ(data, a.slice(50).data());
+  ref[1] = 7;
+  EXPECT_EQ(a.slice(50), (std::vector<double>{1, 7, 3}));
+}
+
+// The movement payload layout is a wire format shared by every app: the
+// flat table must encode exactly what the map-backed array did.
+msg::Bytes legacy_payload(
+    const std::vector<std::tuple<SliceId, int, std::vector<double>>>& s) {
+  msg::Writer w;
+  w.put<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
+  for (const auto& [id, marker, data] : s) {
+    w.put<std::int32_t>(id);
+    w.put<std::int32_t>(marker);
+    w.put_vec(data);
+  }
+  return w.take();
+}
+
+TEST(DistArray, PackBytesMatchLegacyEncoding) {
+  DistArray<double> a(2, 8);
+  a.add(3, {1.5, 2.5}, 4);
+  a.add(4, {3.5, 4.5}, 2);
+  a.add(6, {5.5, 6.5});
+  const msg::Bytes expected =
+      legacy_payload({{6, 0, {5.5, 6.5}}, {3, 4, {1.5, 2.5}}});
+  EXPECT_EQ(a.pack_and_remove({6, 3}), expected);
+  EXPECT_EQ(a.owned_ids(), (std::vector<SliceId>{4}));
+
+  // Writer& overload: the same bytes behind a u64 length prefix, i.e.
+  // what Writer::put_bytes of the standalone payload produced.
+  DistArray<double> b(2, 8);
+  b.add(3, {1.5, 2.5}, 4);
+  b.add(6, {5.5, 6.5});
+  msg::Writer w;
+  w.put<std::uint8_t>(9);
+  b.pack_and_remove({6, 3}, w);
+  w.put<std::uint8_t>(8);
+  msg::Writer legacy;
+  legacy.put<std::uint8_t>(9).put_bytes(expected).put<std::uint8_t>(8);
+  EXPECT_EQ(w.take(), legacy.take());
+  EXPECT_EQ(b.owned_count(), 0);
+}
+
+TEST(DistArray, WriterReaderOverloadsRoundTrip) {
+  DistArray<double> src(3, 10), dst(3, 10);
+  for (SliceId id = 2; id < 7; ++id) {
+    src.add(id, {id * 1.0, id * 2.0, id * 3.0}, 10 - id);
+  }
+  dst.add(7, {0, 0, 0}, 1);
+  msg::Writer w;
+  w.put<std::int32_t>(-5);
+  src.pack_and_remove({5, 6}, w);
+  src.pack_and_remove({}, w);
+  w.put<std::int32_t>(42);
+  const msg::Bytes bytes = w.take();
+
+  msg::Reader r(bytes);
+  EXPECT_EQ(r.get<std::int32_t>(), -5);
+  EXPECT_EQ(dst.unpack_and_add(r), (std::vector<SliceId>{5, 6}));
+  EXPECT_TRUE(dst.unpack_and_add(r).empty());
+  EXPECT_EQ(r.get<std::int32_t>(), 42);
+  EXPECT_TRUE(r.done());
+
+  EXPECT_EQ(src.owned_ids(), (std::vector<SliceId>{2, 3, 4}));
+  EXPECT_EQ(dst.owned_ids(), (std::vector<SliceId>{5, 6, 7}));
+  EXPECT_EQ(dst.marker(5), 5);
+  EXPECT_EQ(dst.marker(6), 4);
+  EXPECT_EQ(dst.slice(6), (std::vector<double>{6, 12, 18}));
+}
+
+TEST(DistArray, PackOfMissingSliceRemovesNothing) {
+  DistArray<double> a(1, 4);
+  a.add(1, {1});
+  a.add(2, {2});
+  msg::Writer w;
+  EXPECT_THROW(a.pack_and_remove({1, 3}, w), CheckFailure);
+  EXPECT_EQ(a.owned_ids(), (std::vector<SliceId>{1, 2}));
+}
+
+TEST(DistArray, UnpackRejectsWrongBlockLength) {
+  DistArray<double> src(1, 4), dst(1, 4);
+  src.add(1, {1});
+  const msg::Bytes body = src.pack_and_remove({1});
+  // The u64 length prefix claims one byte more than the block holds.
+  msg::Writer w;
+  w.put<std::uint64_t>(body.size() + 1);
+  for (std::byte b : body) w.put(b);
+  w.put<std::uint8_t>(0);
+  const msg::Bytes bytes = w.take();
+  msg::Reader r(bytes);
+  EXPECT_THROW(dst.unpack_and_add(r), CheckFailure);
 }
 
 // --------------------------------------------------------- ActivityMask

@@ -24,7 +24,7 @@ TEST(Locator, FetchReplicatesFromUnknownOwner) {
     auto& h = w.add_host();
     w.spawn(h, "s" + std::to_string(rank),
             [&, rank](Context& ctx) -> Task<> {
-              DistArray<double> arr(4);
+              DistArray<double> arr(4, kN);
               // Rank r owns slice r; nobody knows the others' ownership.
               arr.add(rank, {10.0 * rank, 1, 2, 3});
               got[rank] = co_await locate_fetch(ctx, group, 77, arr,
@@ -45,7 +45,7 @@ TEST(Locator, AssignCrossesUnknownOwners) {
     auto& h = w.add_host();
     w.spawn(h, "s" + std::to_string(rank),
             [&, rank](Context& ctx) -> Task<> {
-              DistArray<double> arr(2);
+              DistArray<double> arr(2, kN);
               arr.add(rank, {100.0 + rank, 0.0});
               // arr[slice 2][1] = arr[slice 0][0]: source owned by rank 0,
               // destination by rank 2; neither owner known to the others.
@@ -66,12 +66,12 @@ TEST(Locator, OwnerAlsoReceivesItsOwnValue) {
   auto& h0 = w.add_host();
   auto& h1 = w.add_host();
   w.spawn(h0, "owner", [&](Context& ctx) -> Task<> {
-    DistArray<double> arr(1);
+    DistArray<double> arr(1, 1);
     arr.add(0, {42.0});
     owner_got = co_await locate_fetch(ctx, group, 79, arr, 0, 0);
   });
   w.spawn(h1, "other", [&](Context& ctx) -> Task<> {
-    DistArray<double> arr(1);
+    DistArray<double> arr(1, 1);
     co_await locate_fetch(ctx, group, 79, arr, 0, 0);
   });
   w.run();
