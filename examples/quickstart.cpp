@@ -39,14 +39,14 @@ int main(int argc, char** argv) {
     lb::SlaveAgent::WorkOps ops;
     ops.remaining = [&, rank] { return units[rank]; };
     ops.pack = [&, rank](int count,
-                         int) -> sim::Task<std::pair<sim::Bytes, int>> {
+                         int) -> sim::Task<std::pair<sim::Payload, int>> {
       const int actual = std::min(count, units[rank]);
       units[rank] -= actual;
       msg::Writer w;
       w.put(actual);
       co_return std::make_pair(w.take(), actual);
     };
-    ops.unpack = [&, rank](const sim::Bytes& b, int) -> sim::Task<int> {
+    ops.unpack = [&, rank](sim::Payload& b, int) -> sim::Task<int> {
       msg::Reader r(b);
       const int got = r.get<int>();
       units[rank] += got;

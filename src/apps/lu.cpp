@@ -14,9 +14,9 @@ namespace nowlb::apps {
 using data::BlockMap;
 using data::DistArray;
 using data::SliceId;
-using sim::Bytes;
 using sim::Context;
 using sim::Message;
+using sim::Payload;
 using sim::Task;
 using sim::Time;
 
@@ -142,7 +142,7 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
       for (SliceId id : cols.owned_ids()) r += id > k_now;
       return r;
     };
-    ops.pack = [&](int count, int) -> Task<std::pair<Bytes, int>> {
+    ops.pack = [&](int count, int) -> Task<std::pair<Payload, int>> {
       // Only active columns move (§4.7): inactive data stays put.
       std::vector<SliceId> active;
       for (SliceId id : cols.owned_ids()) {
@@ -153,7 +153,7 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
       const std::vector<SliceId> ids(active.end() - actual, active.end());
       co_return std::make_pair(cols.pack_and_remove(ids), actual);
     };
-    ops.unpack = [&](const Bytes& payload, int) -> Task<int> {
+    ops.unpack = [&](Payload& payload, int) -> Task<int> {
       const auto ids = cols.unpack_and_add(payload);
       if (k_now == n - 1) {
         // Past the last step no update reaches a lagging column any more:
@@ -216,7 +216,7 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
         msg::Writer w;
         w.put<std::int32_t>(k);
         w.put_vec(pivots[static_cast<std::size_t>(k)]);
-        Bytes payload = w.take();
+        const Payload payload = w.take();
         for (int r2 = 0; r2 < R; ++r2) {
           if (r2 == rank) continue;
           co_await ctx.send(c.slave_pid(r2), kTagPivot, payload);

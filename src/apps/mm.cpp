@@ -147,13 +147,13 @@ void mm_build(lb::Cluster& cluster, const MmConfig& cfg,
 
     lb::SlaveAgent::WorkOps ops;
     ops.remaining = [&todo] { return todo.size(); };
-    ops.pack = [&](int count, int) -> Task<std::pair<sim::Bytes, int>> {
+    ops.pack = [&](int count, int) -> Task<std::pair<sim::Payload, int>> {
       // Unrestricted movement: hand off the highest pending columns.
       const int actual = std::min(count, todo.size());
       const auto ids = todo.take_highest(actual);
       co_return std::make_pair(local_b.pack_and_remove(ids), actual);
     };
-    ops.unpack = [&](const sim::Bytes& payload, int) -> Task<int> {
+    ops.unpack = [&](sim::Payload& payload, int) -> Task<int> {
       const auto ids = local_b.unpack_and_add(payload);
       for (SliceId j : ids) todo.insert(j);
       co_return static_cast<int>(ids.size());

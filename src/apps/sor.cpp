@@ -19,9 +19,9 @@ namespace nowlb::apps {
 using data::BlockMap;
 using data::DistArray;
 using data::SliceId;
-using sim::Bytes;
 using sim::Context;
 using sim::Message;
+using sim::Payload;
 using sim::Pid;
 using sim::Task;
 using sim::Time;
@@ -42,7 +42,7 @@ struct GhostHeader {
   std::int32_t col = 0;
 };
 
-Bytes encode_ghost(const GhostHeader& h, const double* rows, int count) {
+Payload encode_ghost(const GhostHeader& h, const double* rows, int count) {
   msg::Writer w;
   w.put(h.sweep).put(h.strip).put(h.col);
   w.put_vec(std::vector<double>(rows, rows + count));
@@ -233,7 +233,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       return cols.owned_count() - finished;
     };
     ops.pack = [&, rank](int count,
-                         int peer) -> Task<std::pair<Bytes, int>> {
+                         int peer) -> Task<std::pair<Payload, int>> {
       // Keep at least one column: an empty rank breaks the pipeline chain.
       const int actual = std::max(0, std::min(count, cols.owned_count() - 1));
       const auto& owned = cols.owned_ids();
@@ -288,7 +288,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       cols.pack_and_remove(ids, w);
       co_return std::make_pair(w.take(), actual);
     };
-    ops.unpack = [&, rank](const Bytes& payload, int peer) -> Task<int> {
+    ops.unpack = [&, rank](Payload& payload, int peer) -> Task<int> {
       msg::Reader r(payload);
       // Non-empty transfers carry the donor's boundary-column snapshot;
       // clamped (empty) transfers carry nothing.

@@ -83,29 +83,30 @@ class DistArray {
   /// and remove; copy it to keep a snapshot across them.
   const std::vector<SliceId>& owned_ids() const { return ids_; }
 
-  /// Serialize the given slices (removing them) into a movement payload:
-  /// u32 count, then per slice i32 id, i32 marker and the u64-prefixed
-  /// contents.
-  msg::Bytes pack_and_remove(const std::vector<SliceId>& ids) {
+  /// Move the given slices (removing them) into a movement payload: u32
+  /// count, then per slice i32 id, i32 marker and the contents behind their
+  /// u64 element count. Each slice's storage becomes an owned buffer of
+  /// the payload (Writer::put_owned): nothing is copied.
+  msg::Payload pack_and_remove(const std::vector<SliceId>& ids) {
     msg::Writer w;
-    w.reserve(packed_size(ids));
+    w.reserve(stream_size(ids));
     pack_body(ids, w);
     return w.take();
   }
 
-  /// The same payload written into `w` as one u64-length-prefixed block
-  /// (the layout of Writer::put_bytes), so a caller composing a larger
-  /// message copies each slice once, straight from its slot.
+  /// The same payload written into `w` as one block behind its u64 logical
+  /// length (the layout of Writer::put_bytes), for a caller composing a
+  /// larger message.
   void pack_and_remove(const std::vector<SliceId>& ids, msg::Writer& w) {
-    const std::size_t size = packed_size(ids);
-    w.reserve(sizeof(std::uint64_t) + size);
-    w.put<std::uint64_t>(size);
+    w.reserve(sizeof(std::uint64_t) + stream_size(ids));
+    w.put<std::uint64_t>(packed_size(ids));
     pack_body(ids, w);
   }
 
-  /// Integrate a movement payload produced by pack_and_remove; returns the
-  /// ids received (already added to the local set).
-  std::vector<SliceId> unpack_and_add(const msg::Bytes& payload) {
+  /// Integrate a movement payload produced by pack_and_remove, adopting
+  /// its buffers; returns the ids received (already added to the local
+  /// set).
+  std::vector<SliceId> unpack_and_add(msg::Payload& payload) {
     msg::Reader r(payload);
     return unpack_body(r);
   }
@@ -157,24 +158,29 @@ class DistArray {
     }
   }
 
-  /// Encoded size of pack_body(ids); also checks every id is local, so a
-  /// bad id throws before anything is removed.
+  /// Bytes pack_body(ids) writes into the stream itself (the slices go as
+  /// owned buffers); also checks every id is local, so a bad id throws
+  /// before anything is removed.
+  std::size_t stream_size(const std::vector<SliceId>& ids) const {
+    for (SliceId id : ids) local(id);
+    return sizeof(std::uint32_t) +
+           ids.size() * (2 * sizeof(std::int32_t) + sizeof(std::uint64_t));
+  }
+
+  /// Logical size of pack_body(ids): the stream plus the slices.
   std::size_t packed_size(const std::vector<SliceId>& ids) const {
-    std::size_t n = sizeof(std::uint32_t);
-    for (SliceId id : ids) {
-      n += 2 * sizeof(std::int32_t) + sizeof(std::uint64_t) +
-           local(id).data.size() * sizeof(T);
-    }
+    std::size_t n = stream_size(ids);
+    for (SliceId id : ids) n += slots_[id].data.size() * sizeof(T);
     return n;
   }
 
   void pack_body(const std::vector<SliceId>& ids, msg::Writer& w) {
     w.put<std::uint32_t>(static_cast<std::uint32_t>(ids.size()));
     for (SliceId id : ids) {
-      const Slot& s = local(id);
+      Slot& s = local(id);
       w.put<std::int32_t>(id);
       w.put<std::int32_t>(s.marker);
-      w.put_vec(s.data);
+      w.put_owned(std::move(s.data));
       release(id);
     }
     std::erase_if(ids_, [this](SliceId id) { return !slots_[id].present; });
@@ -187,7 +193,7 @@ class DistArray {
     for (std::uint32_t i = 0; i < n; ++i) {
       const auto id = r.get<std::int32_t>();
       const auto marker = r.get<std::int32_t>();
-      add(id, r.get_vec<T>(), marker);
+      add(id, r.take_owned<T>(), marker);
       ids.push_back(id);
     }
     return ids;

@@ -231,22 +231,23 @@ struct MoveContext {
   std::int32_t from_rank = -1;
 };
 
-inline sim::Bytes wrap_move(const MoveContext& mc, const sim::Bytes& payload) {
+/// The application payload's owned buffers move into the envelope.
+inline sim::Payload wrap_move(const MoveContext& mc, sim::Payload&& payload) {
   msg::Writer w;
   w.reserve(sizeof(mc.round) + sizeof(mc.from_rank) + sizeof(std::uint64_t) +
-            payload.size());
-  w.put(mc.round).put(mc.from_rank).put_bytes(payload);
+            payload.bytes.size());
+  w.put(mc.round).put(mc.from_rank).put_bytes(std::move(payload));
   return w.take();
 }
 
 /// Inverse of wrap_move: returns the context and replaces `payload` with
-/// the inner application payload.
-inline MoveContext unwrap_move(sim::Bytes& payload) {
+/// the inner application payload (its owned buffers moved along).
+inline MoveContext unwrap_move(sim::Payload& payload) {
   msg::Reader r(payload);
   MoveContext mc;
   mc.round = r.get<std::int32_t>();
   mc.from_rank = r.get<std::int32_t>();
-  sim::Bytes inner = r.get_bytes();
+  sim::Payload inner = r.get_bytes();
   NOWLB_CHECK(r.done(), "kTagMove causal envelope: trailing bytes");
   payload = std::move(inner);
   return mc;

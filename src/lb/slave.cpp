@@ -551,9 +551,9 @@ Task<> SlaveAgent::apply_moves(const std::vector<MoveOrder>& orders) {
                              << " units to rank " << o.peer_rank;
       // Under causal propagation, wrap the payload with the ordering round
       // so the receiver attributes the migration even after reordering.
-      sim::Bytes out = lb_.causal
-                           ? wrap_move({applying_round_, rank_}, payload)
-                           : std::move(payload);
+      sim::Payload out =
+          lb_.causal ? wrap_move({applying_round_, rank_}, std::move(payload))
+                     : std::move(payload);
       co_await transport_->send(pid_of(o.peer_rank), kTagMove,
                                 std::move(out));
       move_time_accum_ += ctx_.now() - t0;

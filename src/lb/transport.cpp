@@ -59,7 +59,8 @@ bool Transport::reliable(sim::Tag tag) const {
   return std::find(tags_.begin(), tags_.end(), tag) != tags_.end();
 }
 
-sim::Task<> Transport::send(sim::Pid dst, sim::Tag tag, sim::Bytes payload) {
+sim::Task<> Transport::send(sim::Pid dst, sim::Tag tag,
+                            sim::Payload payload) {
   if (!cfg_.enabled) {
     co_await ctx_.send(dst, tag, std::move(payload));
     co_return;
@@ -81,9 +82,9 @@ sim::Task<> Transport::send(sim::Pid dst, sim::Tag tag, sim::Bytes payload) {
 
 sim::Message Transport::make_envelope(sim::Pid dst, sim::Tag tag,
                                       std::uint32_t seq,
-                                      const sim::Bytes& payload) const {
+                                      const sim::Payload& payload) const {
   msg::Writer w;
-  w.reserve(sizeof(seq) + sizeof(std::uint64_t) + payload.size());
+  w.reserve(sizeof(seq) + sizeof(std::uint64_t) + payload.bytes.size());
   w.put(seq);
   w.put_bytes(payload);
   sim::Message m;
@@ -200,7 +201,7 @@ bool Transport::on_message(sim::Message& m) {
   }
   msg::Reader r(m.payload);
   const auto seq = r.get<std::uint32_t>();
-  sim::Bytes payload = r.get_bytes();
+  sim::Payload payload = r.get_bytes();
   // Ack every arrival, duplicates included: the first ack may have been
   // lost and the peer is still retransmitting.
   send_ack(m.src, m.tag, seq);

@@ -59,7 +59,7 @@ class Transport {
   /// Reliable send: envelopes, posts, and arms a retransmit timer. With
   /// the transport disabled this is exactly ctx.send. Sends towards a
   /// blackholed peer are silently discarded.
-  sim::Task<> send(sim::Pid dst, sim::Tag tag, sim::Bytes payload);
+  sim::Task<> send(sim::Pid dst, sim::Tag tag, sim::Payload payload);
 
   /// Declare a peer dead: cancel every retransmit towards it, drop its
   /// held reordered messages, and swallow all its future arrivals.
@@ -85,17 +85,19 @@ class Transport {
   struct Pending {
     /// Application payload only; the envelope (seq prefix + length) is
     /// rebuilt byte-identically on retransmit, so the retained state is
-    /// one buffer instead of a full message copy.
-    sim::Bytes payload;
+    /// one payload instead of a full message copy.
+    sim::Payload payload;
     int attempts = 0;
     sim::Engine::EventId timer;
   };
 
   bool on_message(sim::Message& m);  // the tap; true = consumed
   void post_raw(sim::Message m);     // network post, no CPU charge
-  /// Frame a reliable message: seq-prefixed envelope around the payload.
+  /// Frame a reliable message: seq-prefixed envelope around a copy of the
+  /// payload. The pending entry keeps the original for retransmission, so
+  /// this is the one place a moved buffer is duplicated on the sender.
   sim::Message make_envelope(sim::Pid dst, sim::Tag tag, std::uint32_t seq,
-                             const sim::Bytes& payload) const;
+                             const sim::Payload& payload) const;
   void send_ack(sim::Pid dst, sim::Tag tag, std::uint32_t seq);
   void arm_timer(Key k, std::uint32_t seq);
   void on_timeout(Key k, std::uint32_t seq);

@@ -4,15 +4,15 @@
 
 namespace nowlb::msg {
 
-using sim::Bytes;
 using sim::Context;
 using sim::Message;
+using sim::Payload;
 using sim::Pid;
 using sim::Tag;
 using sim::Task;
 
-Task<Bytes> broadcast(Context& ctx, const std::vector<Pid>& group, Pid root,
-                      Tag tag, Bytes payload) {
+Task<Payload> broadcast(Context& ctx, const std::vector<Pid>& group,
+                        Pid root, Tag tag, Payload payload) {
   if (ctx.pid() == root) {
     for (Pid p : group) {
       if (p == root) continue;
@@ -24,13 +24,14 @@ Task<Bytes> broadcast(Context& ctx, const std::vector<Pid>& group, Pid root,
   co_return std::move(m.payload);
 }
 
-Task<std::vector<Bytes>> gather(Context& ctx, const std::vector<Pid>& group,
-                                Pid root, Tag tag, Bytes mine) {
+Task<std::vector<Payload>> gather(Context& ctx,
+                                  const std::vector<Pid>& group, Pid root,
+                                  Tag tag, Payload mine) {
   if (ctx.pid() != root) {
     co_await ctx.send(root, tag, std::move(mine));
-    co_return std::vector<Bytes>{};
+    co_return std::vector<Payload>{};
   }
-  std::vector<Bytes> out(group.size());
+  std::vector<Payload> out(group.size());
   std::size_t expected = 0;
   for (std::size_t i = 0; i < group.size(); ++i) {
     if (group[i] == root) {
@@ -68,10 +69,10 @@ Task<> barrier(Context& ctx, const std::vector<Pid>& group, Pid coordinator,
     }
     for (Pid p : group) {
       if (p == coordinator) continue;
-      co_await ctx.send(p, tag, Bytes{});
+      co_await ctx.send(p, tag, Payload{});
     }
   } else {
-    co_await ctx.send(coordinator, tag, Bytes{});
+    co_await ctx.send(coordinator, tag, Payload{});
     co_await ctx.recv(tag, coordinator);
   }
 }

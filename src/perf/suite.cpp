@@ -198,7 +198,7 @@ double slice_pack_unpack(const BenchOptions&,
     for (int s = 0; s < kSlices; ++s) {
       from.add(s, std::vector<double>(kLen, s * 1.0), s);
     }
-    const auto payload = from.pack_and_remove(half);
+    auto payload = from.pack_and_remove(half);
     to.unpack_and_add(payload);
   }
   const double dt = wall_seconds() - t0;

@@ -128,7 +128,7 @@ class Context {
   /// Send a message; charges the sender's software overhead as CPU, then
   /// hands the message to the network. Completes when the message is on
   /// the wire (asynchronous send).
-  Task<> send(Pid dst, Tag tag, Bytes payload);
+  Task<> send(Pid dst, Tag tag, Payload payload);
 
   /// Blocking selective receive; charges receive overhead as CPU.
   Task<Message> recv(Tag tag = kAnyTag, Pid src = kAnyPid);

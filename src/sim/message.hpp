@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "util/bytes.hpp"
+#include "util/payload.hpp"
 
 namespace nowlb::sim {
 
@@ -16,14 +17,16 @@ using Tag = int;
 inline constexpr Tag kAnyTag = -1;
 
 using Bytes = nowlb::Bytes;
+using Payload = nowlb::Payload;
 
 struct Message {
   Pid src = kAnyPid;
   Pid dst = kAnyPid;
   Tag tag = 0;
-  Bytes payload;
+  Payload payload;
 
-  /// Wire size used for transmission-time modelling (payload + header).
+  /// Wire size used for transmission-time modelling (logical payload size
+  /// + header): owned buffers count as if serialised.
   std::size_t wire_size(std::size_t header_bytes) const {
     return payload.size() + header_bytes;
   }

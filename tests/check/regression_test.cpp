@@ -13,16 +13,23 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "check/scenario.hpp"
 
 namespace nowlb::check {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// may have no padding: `reserved` takes the four bytes after `app`, which
+// otherwise held whatever the copy left there and changed the case names
+// from one build to the next.
 struct Regression {
   App app;
+  std::uint32_t reserved = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<Regression>);
 
 std::string case_name(const ::testing::TestParamInfo<Regression>& info) {
   return std::string(app_name(info.param.app)) + "_" +
@@ -48,13 +55,14 @@ TEST_P(LossySeed, PassesAllCheckers) {
 
 INSTANTIATE_TEST_SUITE_P(
     FuzzRegressions, LossySeed,
-    ::testing::Values(Regression{App::kLu, 7039}, Regression{App::kLu, 9811},
-                      Regression{App::kLu, 219746},
-                      Regression{App::kSor, 50122},
-                      Regression{App::kSor, 118074},
-                      Regression{App::kSor, 124391},
-                      Regression{App::kSor, 168237},
-                      Regression{App::kSor, 207155}),
+    ::testing::Values(Regression{.app = App::kLu, .seed = 7039},
+                      Regression{.app = App::kLu, .seed = 9811},
+                      Regression{.app = App::kLu, .seed = 219746},
+                      Regression{.app = App::kSor, .seed = 50122},
+                      Regression{.app = App::kSor, .seed = 118074},
+                      Regression{.app = App::kSor, .seed = 124391},
+                      Regression{.app = App::kSor, .seed = 168237},
+                      Regression{.app = App::kSor, .seed = 207155}),
     case_name);
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
 #include "data/activity.hpp"
 #include "data/dist_array.hpp"
 #include "data/index_set.hpp"
 #include "data/slice.hpp"
+#include "sim/world.hpp"
 
 namespace nowlb::data {
 namespace {
@@ -235,7 +237,7 @@ msg::Bytes legacy_payload(
     w.put<std::int32_t>(marker);
     w.put_vec(data);
   }
-  return w.take();
+  return w.take().bytes;
 }
 
 TEST(DistArray, PackBytesMatchLegacyEncoding) {
@@ -245,7 +247,8 @@ TEST(DistArray, PackBytesMatchLegacyEncoding) {
   a.add(6, {5.5, 6.5});
   const msg::Bytes expected =
       legacy_payload({{6, 0, {5.5, 6.5}}, {3, 4, {1.5, 2.5}}});
-  EXPECT_EQ(a.pack_and_remove({6, 3}), expected);
+  // Slices travel as owned buffers; the logical stream is what counts.
+  EXPECT_EQ(a.pack_and_remove({6, 3}).flatten(), expected);
   EXPECT_EQ(a.owned_ids(), (std::vector<SliceId>{4}));
 
   // Writer& overload: the same bytes behind a u64 length prefix, i.e.
@@ -259,7 +262,7 @@ TEST(DistArray, PackBytesMatchLegacyEncoding) {
   w.put<std::uint8_t>(8);
   msg::Writer legacy;
   legacy.put<std::uint8_t>(9).put_bytes(expected).put<std::uint8_t>(8);
-  EXPECT_EQ(w.take(), legacy.take());
+  EXPECT_EQ(w.take().flatten(), legacy.take().flatten());
   EXPECT_EQ(b.owned_count(), 0);
 }
 
@@ -274,9 +277,9 @@ TEST(DistArray, WriterReaderOverloadsRoundTrip) {
   src.pack_and_remove({5, 6}, w);
   src.pack_and_remove({}, w);
   w.put<std::int32_t>(42);
-  const msg::Bytes bytes = w.take();
+  msg::Payload payload = w.take();
 
-  msg::Reader r(bytes);
+  msg::Reader r(payload);
   EXPECT_EQ(r.get<std::int32_t>(), -5);
   EXPECT_EQ(dst.unpack_and_add(r), (std::vector<SliceId>{5, 6}));
   EXPECT_TRUE(dst.unpack_and_add(r).empty());
@@ -302,15 +305,108 @@ TEST(DistArray, PackOfMissingSliceRemovesNothing) {
 TEST(DistArray, UnpackRejectsWrongBlockLength) {
   DistArray<double> src(1, 4), dst(1, 4);
   src.add(1, {1});
-  const msg::Bytes body = src.pack_and_remove({1});
-  // The u64 length prefix claims one byte more than the block holds.
   msg::Writer w;
-  w.put<std::uint64_t>(body.size() + 1);
-  for (std::byte b : body) w.put(b);
+  src.pack_and_remove({1}, w);
   w.put<std::uint8_t>(0);
-  const msg::Bytes bytes = w.take();
-  msg::Reader r(bytes);
+  msg::Payload payload = w.take();
+  // The u64 length prefix claims one byte more than the block holds.
+  std::uint64_t size = 0;
+  std::memcpy(&size, payload.bytes.data(), sizeof size);
+  ++size;
+  std::memcpy(payload.bytes.data(), &size, sizeof size);
+  msg::Reader r(payload);
   EXPECT_THROW(dst.unpack_and_add(r), CheckFailure);
+}
+
+// ------------------------------------------------------------ SliceMove
+// Moved slices ride in the message as owned buffers: the simulator must
+// see the same logical sizes as before, and the receiver must end up with
+// the sender's own storage.
+
+sim::WorldConfig move_world() {
+  sim::WorldConfig cfg;
+  cfg.host.context_switch = 0;
+  cfg.net.latency = sim::kMillisecond;
+  return cfg;
+}
+
+TEST(SliceMove, WireSizeAndPayloadBytesAreLogical) {
+  DistArray<double> a(3, 8);
+  for (SliceId id = 0; id < 4; ++id) a.add(id, {id * 1.0, 2.0, 3.0}, id);
+  const msg::Bytes legacy =
+      legacy_payload({{1, 1, {1, 2, 3}}, {2, 2, {2, 2, 3}}});
+  msg::Payload p = a.pack_and_remove({1, 2});
+  EXPECT_EQ(p.size(), legacy.size());
+  sim::Message m;
+  m.payload = std::move(p);
+  EXPECT_EQ(m.wire_size(40), legacy.size() + 40);
+
+  sim::World w(move_world());
+  auto& h0 = w.add_host();
+  auto& h1 = w.add_host();
+  const sim::Pid rx = w.spawn(h1, "rx", [&](sim::Context& ctx) -> sim::Task<> {
+    co_await ctx.recv(7);
+  });
+  w.spawn(h0, "tx", [&](sim::Context& ctx) -> sim::Task<> {
+    const std::vector<SliceId> ids{0, 3};
+    co_await ctx.send(rx, 7, a.pack_and_remove(ids));
+  });
+  w.run();
+  const msg::Bytes sent =
+      legacy_payload({{0, 0, {0, 2, 3}}, {3, 3, {3, 2, 3}}});
+  EXPECT_EQ(w.network().payload_bytes_sent(), sent.size());
+}
+
+TEST(SliceMove, ReceivedSliceIsTheSendersBuffer) {
+  DistArray<double> src(2, 4), dst(2, 4);
+  src.add(1, {1, 2}, 5);
+  src.add(2, {3, 4}, 6);
+  const double* d1 = src.slice(1).data();
+  const double* d2 = src.slice(2).data();
+  sim::World w(move_world());
+  auto& h0 = w.add_host();
+  auto& h1 = w.add_host();
+  const sim::Pid rx = w.spawn(h1, "rx", [&](sim::Context& ctx) -> sim::Task<> {
+    sim::Message m = co_await ctx.recv(7);
+    EXPECT_EQ(dst.unpack_and_add(m.payload), (std::vector<SliceId>{1, 2}));
+  });
+  w.spawn(h0, "tx", [&](sim::Context& ctx) -> sim::Task<> {
+    const std::vector<SliceId> ids{1, 2};
+    co_await ctx.send(rx, 7, src.pack_and_remove(ids));
+  });
+  w.run();
+  EXPECT_EQ(dst.slice(1).data(), d1);
+  EXPECT_EQ(dst.slice(2).data(), d2);
+  EXPECT_EQ(dst.slice(2), (std::vector<double>{3, 4}));
+  EXPECT_EQ(dst.marker(2), 6);
+}
+
+TEST(SliceMove, NetworkDuplicateOwnsAnIndependentCopy) {
+  sim::WorldConfig cfg = move_world();
+  cfg.net.dup_prob = 1.0;
+  DistArray<double> src(2, 4), first(2, 4), second(2, 4);
+  src.add(3, {7, 8});
+  const double* data = src.slice(3).data();
+  sim::World w(cfg);
+  auto& h0 = w.add_host();
+  auto& h1 = w.add_host();
+  const sim::Pid rx = w.spawn(h1, "rx", [&](sim::Context& ctx) -> sim::Task<> {
+    sim::Message m1 = co_await ctx.recv(7);
+    sim::Message m2 = co_await ctx.recv(7);
+    first.unpack_and_add(m1.payload);
+    second.unpack_and_add(m2.payload);
+  });
+  w.spawn(h0, "tx", [&](sim::Context& ctx) -> sim::Task<> {
+    const std::vector<SliceId> ids{3};
+    co_await ctx.send(rx, 7, src.pack_and_remove(ids));
+  });
+  w.run();
+  ASSERT_EQ(w.network().messages_duplicated(), 1u);
+  // The original arrives first and still holds the sender's storage.
+  EXPECT_EQ(first.slice(3).data(), data);
+  EXPECT_NE(second.slice(3).data(), data);
+  first.slice(3)[0] = -1;
+  EXPECT_EQ(second.slice(3), (std::vector<double>{7, 8}));
 }
 
 // --------------------------------------------------------- ActivityMask

@@ -79,14 +79,14 @@ RunResult run_scenario(const Scenario& sc) {
               SlaveAgent::WorkOps ops;
               ops.remaining = [&, rank] { return units[rank]; };
               ops.pack = [&, rank](int count,
-                                   int) -> Task<std::pair<sim::Bytes, int>> {
+                                   int) -> Task<std::pair<sim::Payload, int>> {
                 const int actual = std::min(count, units[rank]);
                 units[rank] -= actual;
                 msg::Writer wr;
                 wr.put(actual);
                 co_return std::make_pair(wr.take(), actual);
               };
-              ops.unpack = [&, rank](const sim::Bytes& b,
+              ops.unpack = [&, rank](sim::Payload& b,
                                      int peer) -> Task<int> {
                 msg::Reader r(b);
                 const int c = r.get<int>();

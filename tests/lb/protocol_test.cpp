@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/dist_array.hpp"
 #include "msg/serialize.hpp"
 #include "util/check.hpp"
 
@@ -40,12 +41,12 @@ TEST(CausalTrailer, OffMeansBitIdenticalBytes) {
   const StatusReport classic = sample_report();
   StatusReport stale = sample_report();
   stale.ctx_round = 7;  // never encoded while causal == 0
-  EXPECT_EQ(msg::encode(classic), msg::encode(stale));
+  EXPECT_EQ(msg::encode(classic).bytes, msg::encode(stale).bytes);
 
   const Instructions classic_ins = sample_instr();
   Instructions stale_ins = sample_instr();
   stale_ins.decision_round = 4;
-  EXPECT_EQ(msg::encode(classic_ins), msg::encode(stale_ins));
+  EXPECT_EQ(msg::encode(classic_ins).bytes, msg::encode(stale_ins).bytes);
 }
 
 TEST(CausalTrailer, StatusReportRoundtrip) {
@@ -135,19 +136,43 @@ TEST(CausalTrailer, UnknownMarkerIsRejected) {
 }
 
 TEST(MoveEnvelope, WrapUnwrapRoundtrip) {
-  sim::Bytes payload = {std::byte{1}, std::byte{2}, std::byte{3}};
-  sim::Bytes wire = wrap_move({14, 2}, payload);
-  EXPECT_NE(wire, payload);
+  const sim::Bytes payload = {std::byte{1}, std::byte{2}, std::byte{3}};
+  sim::Payload wire = wrap_move({14, 2}, sim::Payload(payload));
+  EXPECT_NE(wire.bytes, payload);
   const MoveContext mc = unwrap_move(wire);
   EXPECT_EQ(mc.round, 14);
   EXPECT_EQ(mc.from_rank, 2);
-  EXPECT_EQ(wire, payload);  // unwrap restores the raw application bytes
+  EXPECT_EQ(wire.bytes, payload);  // unwrap restores the application bytes
+}
+
+// The envelope moves the slices' owned buffers along in both directions:
+// the bytes are those of wrapping the serialised payload, and the
+// receiver ends up with the sender's storage.
+TEST(MoveEnvelope, WrapUnwrapCarriesOwnedBuffers) {
+  data::DistArray<double> src(3, 6), dst(3, 6);
+  src.add(2, {1, 2, 3}, 1);
+  src.add(4, {4, 5, 6}, 2);
+  const double* data = src.slice(4).data();
+  sim::Payload inner = src.pack_and_remove({2, 4});
+  const sim::Bytes inner_flat = inner.flatten();
+  sim::Payload wire = wrap_move({9, 3}, std::move(inner));
+  EXPECT_EQ(wire.size(), 2 * sizeof(std::int32_t) + sizeof(std::uint64_t) +
+                             inner_flat.size());
+  EXPECT_EQ(wire.flatten(),
+            wrap_move({9, 3}, sim::Payload(inner_flat)).flatten());
+
+  const MoveContext mc = unwrap_move(wire);
+  EXPECT_EQ(mc.round, 9);
+  EXPECT_EQ(mc.from_rank, 3);
+  EXPECT_EQ(wire.flatten(), inner_flat);
+  EXPECT_EQ(dst.unpack_and_add(wire), (std::vector<data::SliceId>{2, 4}));
+  EXPECT_EQ(dst.slice(4).data(), data);
+  EXPECT_EQ(dst.marker(4), 2);
 }
 
 TEST(MoveEnvelope, TrailingBytesAreRejected) {
-  sim::Bytes payload = {std::byte{5}};
-  sim::Bytes wire = wrap_move({1, 0}, payload);
-  wire.push_back(std::byte{0});
+  sim::Payload wire = wrap_move({1, 0}, sim::Bytes{std::byte{5}});
+  wire.bytes.push_back(std::byte{0});
   EXPECT_THROW(unwrap_move(wire), CheckFailure);
 }
 

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "data/dist_array.hpp"
 #include "lb/transport.hpp"
 #include "sim/world.hpp"
 
@@ -132,6 +133,56 @@ TEST_P(TransportMatrix, ExactlyOnceInOrderPerSrcAndTag) {
             << tag << " position " << i;
       }
     }
+  }
+}
+
+// Work moves carry their slices as owned buffers through the envelope, the
+// retransmit copy and network duplicates. Each move must still land
+// exactly once, in order, with its contents intact: the receiving
+// DistArray rejects a slice it already holds.
+TEST_P(TransportMatrix, BufferCarryingMovesArriveExactlyOnce) {
+  const MatrixCase& c = GetParam();
+  constexpr int kMoves = 20;
+  constexpr std::size_t kLen = 64;
+  World w(faulty_world(c));
+  auto& h0 = w.add_host();
+  auto& h1 = w.add_host();
+  data::DistArray<double> src(kLen, kMoves), dst(kLen, kMoves);
+  for (data::SliceId id = 0; id < kMoves; ++id) {
+    src.add(id, std::vector<double>(kLen, id + 0.5), id);
+  }
+  std::vector<data::SliceId> order;
+
+  Pid rx = w.spawn(h0, "rx", [&](Context& ctx) -> Task<> {
+    Transport t(ctx, enabled_transport(), {kDataA}, nullptr);
+    for (int i = 0; i < kMoves; ++i) {
+      sim::Message m = co_await ctx.recv(kDataA);
+      for (data::SliceId id : dst.unpack_and_add(m.payload)) {
+        order.push_back(id);
+      }
+    }
+    co_await ctx.recv(kBye);
+  });
+  w.spawn(h1, "tx", [&](Context& ctx) -> Task<> {
+    Transport t(ctx, enabled_transport(), {kDataA}, nullptr);
+    for (data::SliceId id = 0; id < kMoves; ++id) {
+      const std::vector<data::SliceId> ids{id};
+      co_await t.send(rx, kDataA, src.pack_and_remove(ids));
+    }
+    co_await t.drain();
+    EXPECT_EQ(t.stats().gave_up, 0u);
+    co_await ctx.send(rx, kBye, Bytes(0));
+  });
+  w.run();
+
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kMoves))
+      << c.name << " seed " << c.seed;
+  EXPECT_EQ(src.owned_count(), 0);
+  for (data::SliceId id = 0; id < kMoves; ++id) {
+    EXPECT_EQ(order[static_cast<std::size_t>(id)], id)
+        << c.name << " seed " << c.seed;
+    EXPECT_EQ(dst.slice(id), std::vector<double>(kLen, id + 0.5));
+    EXPECT_EQ(dst.marker(id), id);
   }
 }
 

@@ -8,19 +8,19 @@
 namespace nowlb::msg {
 namespace {
 
-using sim::Bytes;
 using sim::Context;
+using sim::Payload;
 using sim::Pid;
 using sim::Task;
 using sim::World;
 
-Bytes payload_of(int v) {
+Payload payload_of(int v) {
   Writer w;
   w.put(v);
   return w.take();
 }
 
-int value_of(const Bytes& b) {
+int value_of(const Payload& b) {
   Reader r(b);
   return r.get<int>();
 }
@@ -47,8 +47,8 @@ TEST_F(CollectivesTest, BroadcastDeliversToAll) {
   std::vector<int> got(4, -1);
   std::vector<Pid> group{0, 1, 2, 3};
   auto body = [&](Context& ctx, int rank) -> Task<> {
-    Bytes mine = rank == 2 ? payload_of(77) : Bytes{};
-    Bytes result = co_await broadcast(ctx, group, /*root=*/2, 42, mine);
+    Payload mine = rank == 2 ? payload_of(77) : Payload{};
+    Payload result = co_await broadcast(ctx, group, /*root=*/2, 42, mine);
     got[rank] = value_of(result);
   };
   spawn_group(w, 4, body);

@@ -15,7 +15,7 @@ using nowlb::Rng;
 TEST(Serialize, PodRoundtrip) {
   Writer w;
   w.put<std::int32_t>(-7).put<double>(3.25).put<std::uint8_t>(255);
-  Bytes b = w.take();
+  Payload b = w.take();
   Reader r(b);
   EXPECT_EQ(r.get<std::int32_t>(), -7);
   EXPECT_DOUBLE_EQ(r.get<double>(), 3.25);
@@ -26,7 +26,7 @@ TEST(Serialize, PodRoundtrip) {
 TEST(Serialize, StringRoundtrip) {
   Writer w;
   w.put(std::string("hello world")).put(std::string(""));
-  Bytes b = w.take();
+  Payload b = w.take();
   Reader r(b);
   EXPECT_EQ(r.get_string(), "hello world");
   EXPECT_EQ(r.get_string(), "");
@@ -38,7 +38,7 @@ TEST(Serialize, VectorRoundtrip) {
   std::vector<double> v{1.5, -2.5, 0.0};
   w.put_vec(v);
   w.put_vec(std::vector<int>{});
-  Bytes b = w.take();
+  Payload b = w.take();
   Reader r(b);
   EXPECT_EQ(r.get_vec<double>(), v);
   EXPECT_TRUE(r.get_vec<int>().empty());
@@ -50,18 +50,115 @@ TEST(Serialize, NestedBytes) {
   inner.put<int>(42);
   Writer outer;
   outer.put_bytes(inner.take());
-  Bytes b = outer.take();
+  Payload b = outer.take();
   Reader r(b);
-  Bytes extracted = r.get_bytes();
+  Payload extracted = r.get_bytes();
   Reader r2(extracted);
   EXPECT_EQ(r2.get<int>(), 42);
+}
+
+// put_owned writes what put_vec writes, as far as the logical stream goes,
+// and the vector comes back without a copy.
+TEST(Serialize, OwnedVectorRoundtripsWithoutCopy) {
+  const std::vector<double> values{1.5, -2.5, 4.0};
+  std::vector<double> v = values;
+  const double* data = v.data();
+  Writer w;
+  w.put<std::int32_t>(7).put_owned(std::move(v)).put<std::int32_t>(9);
+  Payload p = w.take();
+  Writer flat;
+  flat.put<std::int32_t>(7).put_vec(values).put<std::int32_t>(9);
+  const Bytes expected = flat.take().bytes;
+  EXPECT_EQ(p.size(), expected.size());
+  EXPECT_EQ(p.bytes.size(), expected.size() - values.size() * sizeof(double));
+  EXPECT_EQ(p.flatten(), expected);
+
+  Reader r(p);
+  EXPECT_EQ(r.remaining(), expected.size());
+  EXPECT_EQ(r.get<std::int32_t>(), 7);
+  std::vector<double> out = r.take_owned<double>();
+  EXPECT_EQ(out.data(), data);
+  EXPECT_EQ(out, values);
+  EXPECT_EQ(r.get<std::int32_t>(), 9);
+  EXPECT_TRUE(r.done());
+}
+
+TEST(Serialize, OwnedVectorNeedsAMatchingTake) {
+  Writer w;
+  w.put_owned(std::vector<double>{1, 2});
+  Payload p = w.take();
+  {
+    // Read-only readers cannot adopt buffers...
+    const Payload& view = p;
+    Reader r(view);
+    EXPECT_THROW(r.take_owned<double>(), CheckFailure);
+  }
+  {
+    // ...plain reads stop in front of one...
+    Reader r(p);
+    EXPECT_THROW(r.get_vec<double>(), CheckFailure);
+  }
+  {
+    // ...and the element type must match.
+    Reader r(p);
+    EXPECT_THROW(r.take_owned<float>(), CheckFailure);
+  }
+  Reader r(p);
+  EXPECT_EQ(r.take_owned<double>(), (std::vector<double>{1, 2}));
+}
+
+// A nested payload keeps its buffers at their place in the logical stream:
+// moved in, moved out, and the same bytes as if they had been serialised.
+TEST(Serialize, NestedPayloadCarriesOwnedBuffers) {
+  std::vector<std::int32_t> v{4, 5, 6};
+  const std::int32_t* data = v.data();
+  Writer inner;
+  inner.put<std::uint8_t>(1).put_owned(std::move(v)).put<std::uint8_t>(2);
+  Payload in = inner.take();
+  const Bytes in_flat = in.flatten();
+  Writer outer;
+  outer.put<std::uint16_t>(3).put_bytes(std::move(in)).put<std::uint16_t>(4);
+  Payload p = outer.take();
+  Writer legacy;
+  legacy.put<std::uint16_t>(3).put_bytes(in_flat).put<std::uint16_t>(4);
+  EXPECT_EQ(p.flatten(), legacy.take().bytes);
+
+  Reader r(p);
+  EXPECT_EQ(r.get<std::uint16_t>(), 3);
+  Payload got = r.get_bytes();
+  EXPECT_EQ(r.get<std::uint16_t>(), 4);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(got.flatten(), in_flat);
+  Reader r2(got);
+  EXPECT_EQ(r2.get<std::uint8_t>(), 1);
+  std::vector<std::int32_t> out = r2.take_owned<std::int32_t>();
+  EXPECT_EQ(out.data(), data);
+  EXPECT_EQ(r2.get<std::uint8_t>(), 2);
+  EXPECT_TRUE(r2.done());
+}
+
+// Copying a payload (a network duplicate, a retransmit copy) gives the
+// copy buffers of its own.
+TEST(Serialize, CopiedPayloadOwnsIndependentBuffers) {
+  Writer w;
+  w.put_owned(std::vector<double>{1, 2, 3});
+  Payload a = w.take();
+  Payload b = a;
+  EXPECT_EQ(a.flatten(), b.flatten());
+  Reader ra(a);
+  Reader rb(b);
+  std::vector<double> va = ra.take_owned<double>();
+  std::vector<double> vb = rb.take_owned<double>();
+  EXPECT_NE(va.data(), vb.data());
+  va[0] = 42;
+  EXPECT_EQ(vb, (std::vector<double>{1, 2, 3}));
 }
 
 TEST(Serialize, TruncatedPayloadThrows) {
   Writer w;
   w.put<std::int64_t>(1);
-  Bytes b = w.take();
-  b.resize(4);  // cut in half
+  Payload b = w.take();
+  b.bytes.resize(4);  // cut in half
   Reader r(b);
   EXPECT_THROW(r.get<std::int64_t>(), CheckFailure);
 }
@@ -69,8 +166,8 @@ TEST(Serialize, TruncatedPayloadThrows) {
 TEST(Serialize, TruncatedVectorThrows) {
   Writer w;
   w.put_vec(std::vector<double>{1, 2, 3});
-  Bytes b = w.take();
-  b.resize(b.size() - 8);
+  Payload b = w.take();
+  b.bytes.resize(b.bytes.size() - 8);
   Reader r(b);
   EXPECT_THROW(r.get_vec<double>(), CheckFailure);
 }
@@ -177,7 +274,7 @@ TEST(Serialize, MoveOrderRandomizedRoundtrip) {
     m.is_send = static_cast<std::uint8_t>(rng.below(256));
     Writer w;
     m.encode(w);
-    const Bytes b = w.take();
+    const Payload b = w.take();
     Reader r(b);
     const auto out = lb::MoveOrder::decode(r);
     EXPECT_TRUE(r.done());

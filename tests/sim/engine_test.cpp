@@ -48,6 +48,32 @@ TEST(Engine, ScheduleAfterUsesCurrentTime) {
   EXPECT_EQ(seen, 150);
 }
 
+// A callback that counts the copies made of it; moves are free.
+struct CopyCounter {
+  int* copies;
+  explicit CopyCounter(int* c) : copies(c) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies) { ++*copies; }
+  CopyCounter(CopyCounter&& o) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = delete;
+  ~CopyCounter() = default;
+  void operator()() const {}
+};
+
+// A callback may own a whole message (the network's delivery events do):
+// the relative form must hand it on, not copy it.
+TEST(Engine, ScheduleAfterCopiesNoMoreThanScheduleAt) {
+  Engine e;
+  int at_copies = 0;
+  int after_copies = 0;
+  e.schedule_at(5, CopyCounter(&at_copies));
+  e.schedule_after(5, CopyCounter(&after_copies));
+  EXPECT_EQ(after_copies, at_copies);
+  e.run();
+  EXPECT_EQ(after_copies, at_copies);
+  EXPECT_EQ(e.dispatched_events(), 2u);
+}
+
 TEST(Engine, CancelPreventsDispatch) {
   Engine e;
   bool fired = false;
